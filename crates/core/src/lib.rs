@@ -122,7 +122,9 @@ struct IngestSnapshot {
 /// compaction dropped. Row embeddings, the demonstration pool, and
 /// sentiments are deliberately absent — they are recomputed
 /// deterministically from the texts (the embedder is stateless), keeping
-/// checkpoints proportional to the structured state, not the vectors.
+/// checkpoints proportional to the structured state, not the vectors. The
+/// document index is stored as its layout only and refilled from the
+/// re-embedded rows on restore.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CheckpointState {
     texts: Vec<String>,
@@ -139,8 +141,9 @@ struct CheckpointState {
     /// bindings and conversation context.
     answers: Vec<AnswerRecord>,
     resilience: ResilienceSnapshot,
-    /// The incremental document index, if it was built (`None` preserves
-    /// the lazy build-on-first-use behavior across recovery).
+    /// The incremental document index's layout (centroids, per-partition
+    /// row ids in storage order, retrain counters), if it was built. `None`
+    /// preserves the lazy build-on-first-use behavior across recovery.
     doc_index: Option<IvfState>,
 }
 
@@ -975,6 +978,9 @@ impl AllHands {
         recorder: Recorder,
         point: RecoverPoint,
     ) -> Result<(Self, DataFrame), AllHandsError> {
+        let rec = recorder.clone();
+        let _recover_span = rec.span("recover");
+        let decode_span = rec.span("decode");
         // Catalogue the surviving ingest deltas by batch ordinal (the
         // `b{idx:05}` key prefix); a later record for the same ordinal
         // (possible after an overlapping resume) wins. Undecodable deltas
@@ -1057,6 +1063,7 @@ impl AllHands {
                 }
             }
         }
+        drop(decode_span);
         let (mut ah, mut frame, mut applied) = match best {
             Some((marker, state)) => {
                 let (ah, frame) = Self::restore_from_checkpoint(
@@ -1104,6 +1111,7 @@ impl AllHands {
                     }
                 }
             };
+            let _delta_span = rec.span(&format!("delta[{applied}]"));
             frame = ah.replay_delta(applied, snap)?;
             applied += 1;
         }
@@ -1113,9 +1121,10 @@ impl AllHands {
 
     /// Rebuild a live session from one decoded checkpoint. Everything the
     /// checkpoint omits — sentiments, row embeddings, the demonstration
-    /// pool — is recomputed deterministically from the restored texts, so
-    /// the rebuilt session is byte-identical to the one that wrote the
-    /// checkpoint.
+    /// pool, the document index's vectors — is recomputed deterministically
+    /// from the restored texts, so the rebuilt session is byte-identical to
+    /// the one that wrote the checkpoint. Row embedding stays lazy when the
+    /// checkpoint has no document index.
     fn restore_from_checkpoint(
         tier: ModelTier,
         config: AllHandsConfig,
@@ -1125,22 +1134,11 @@ impl AllHands {
         state: CheckpointState,
         marker: u64,
     ) -> Result<(Self, DataFrame), AllHandsError> {
-        if state.row_labels.len() != state.texts.len()
-            || state.doc_topics.len() != state.texts.len()
-        {
-            return Err(AllHandsError::Pipeline(format!(
-                "recover: checkpoint {marker} is internally inconsistent \
-                 ({} text(s), {} label(s), {} topic row(s))",
-                state.texts.len(),
-                state.row_labels.len(),
-                state.doc_topics.len()
-            )));
-        }
+        let mut llm = SimLlm::new(ModelSpec::for_tier(tier));
+        check_checkpoint(&state, marker, llm.embedder().dims())?;
         recorder.set_meta("tier", tier.name());
         recorder.set_meta("journaled", "true");
         recorder.set_meta("recovered_from_checkpoint", &marker.to_string());
-        let _span = recorder.span("recover");
-        let mut llm = SimLlm::new(ModelSpec::for_tier(tier));
         llm.set_recorder(recorder.clone());
         let llm = llm;
         let resilience = Arc::new(ResilienceCtx::with_recorder(
@@ -1160,19 +1158,14 @@ impl AllHands {
         for record in &state.answers {
             agent.restore_answer(record.clone());
         }
-        let doc_index = state.doc_index.map(|s| {
-            let mut idx = IvfIndex::from_state(s);
-            idx.set_recorder(recorder.clone());
-            idx
-        });
-        let ingest = IngestState {
+        let mut ingest = IngestState {
             llm,
             labeled_sample: labeled_sample.to_vec(),
             labels: distinct_labels(labeled_sample),
             demos: None,
             topic_list: state.topic_list,
             row_embeds: Vec::new(),
-            doc_index,
+            doc_index: None,
             pending: state.pending.iter().map(|&r| r as usize).collect(),
             texts: state.texts,
             row_labels: state.row_labels,
@@ -1180,6 +1173,20 @@ impl AllHands {
             doc_topics: state.doc_topics,
             batches: state.batches as usize,
         };
+        if let Some(layout) = state.doc_index {
+            // Every indexed row was inserted as `row_embeds[row]`, so
+            // re-embedding the rows once refills the layout bit for bit.
+            let rows = ingest.texts.len();
+            {
+                let _embed_span = recorder.span("embed");
+                backfill_row_embeds(&mut ingest, &recorder, rows);
+            }
+            let _index_span = recorder.span("rebuild_index");
+            let mut idx =
+                IvfIndex::from_state(layout, |id| ingest.row_embeds.get(id as usize).cloned());
+            idx.set_recorder(recorder.clone());
+            ingest.doc_index = Some(idx);
+        }
         Ok((
             AllHands {
                 tier,
@@ -1975,6 +1982,54 @@ fn build_frame(
     Ok(frame)
 }
 
+/// Refuse a checkpoint whose parts disagree before any of it is used: one
+/// label and topic row per text, pending row ids in range, and a
+/// document-index layout of the session's dimensionality that places each
+/// of its row ids — all below the row count — exactly once.
+fn check_checkpoint(
+    state: &CheckpointState,
+    marker: u64,
+    dims: usize,
+) -> Result<(), AllHandsError> {
+    let inconsistent = |detail: String| {
+        AllHandsError::Pipeline(format!(
+            "recover: checkpoint {marker} is internally inconsistent ({detail})"
+        ))
+    };
+    let rows = state.texts.len();
+    if state.row_labels.len() != rows || state.doc_topics.len() != rows {
+        return Err(inconsistent(format!(
+            "{rows} text(s), {} label(s), {} topic row(s)",
+            state.row_labels.len(),
+            state.doc_topics.len()
+        )));
+    }
+    if let Some(&row) = state.pending.iter().find(|&&r| r >= rows as u64) {
+        return Err(inconsistent(format!("pending row {row} of {rows} text(s)")));
+    }
+    let Some(layout) = &state.doc_index else { return Ok(()) };
+    if layout.dims != dims as u64 {
+        return Err(inconsistent(format!(
+            "{}-dim document index for {dims}-dim embeddings",
+            layout.dims
+        )));
+    }
+    let mut placed = vec![false; rows];
+    for r in layout.partitions.iter().flatten() {
+        match usize::try_from(r.id).ok().and_then(|row| placed.get_mut(row)) {
+            Some(seen) if !*seen => *seen = true,
+            Some(_) => return Err(inconsistent(format!("document index repeats row {}", r.id))),
+            None => {
+                return Err(inconsistent(format!(
+                    "document index holds row {} of {rows} text(s)",
+                    r.id
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Ensure every row before `upto` has a cached embedding, computing the
 /// missing tail data-parallel (deterministic across thread counts).
 fn backfill_row_embeds(ing: &mut IngestState, rec: &Recorder, upto: usize) {
@@ -2206,6 +2261,48 @@ mod tests {
             run_fingerprint(tier, &texts, &[], &[], &base),
             run_fingerprint(tier, &texts, &[], &[], &changed)
         );
+    }
+
+    #[test]
+    fn checkpoint_with_a_bad_index_layout_is_refused() {
+        let dims = 4;
+        let mut idx = IvfIndex::new(dims, 1);
+        for row in 0..3u64 {
+            idx.insert(Record::new(row, Embedding::new(vec![row as f32 + 1.0, 0.0, 0.0, 1.0])));
+        }
+        let state = |doc_index: IvfState| CheckpointState {
+            texts: (0..3).map(|i| format!("row {i}")).collect(),
+            row_labels: vec!["bug".to_string(); 3],
+            doc_topics: vec![vec!["crash".to_string()]; 3],
+            topic_list: vec!["crash".to_string()],
+            pending: vec![2],
+            batches: 4,
+            asked: 0,
+            answers: Vec::new(),
+            resilience: ResilienceCtx::new(ResilienceConfig::default()).snapshot(),
+            doc_index: Some(doc_index),
+        };
+        assert!(check_checkpoint(&state(idx.to_state()), 4, dims).is_ok());
+
+        let with_ids = |ids: [u64; 3]| {
+            let mut layout = idx.to_state();
+            for (r, id) in layout.partitions[0].iter_mut().zip(ids) {
+                r.id = id;
+            }
+            layout
+        };
+        let mut pending_past_end = state(idx.to_state());
+        pending_past_end.pending = vec![3];
+        for (case, bad) in [
+            ("past the last row", state(with_ids([0, 3, 2]))),
+            ("far past the last row", state(with_ids([0, 1, u64::MAX]))),
+            ("repeated", state(with_ids([0, 1, 0]))),
+            ("wrong dims", state(IvfIndex::new(dims + 1, 1).to_state())),
+            ("pending past the end", pending_past_end),
+        ] {
+            let err = check_checkpoint(&bad, 4, dims).expect_err(case).to_string();
+            assert!(err.contains("checkpoint 4 is internally inconsistent"), "{case}: {err}");
+        }
     }
 
     #[test]

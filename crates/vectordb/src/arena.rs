@@ -132,6 +132,11 @@ impl RowPool {
         &self.data[slot * self.stride..slot * self.stride + self.dims]
     }
 
+    /// The metadata of row `slot`.
+    pub fn meta(&self, slot: usize) -> &HashMap<String, String> {
+        &self.metas[slot]
+    }
+
     /// Reconstruct the owned record stored at `slot`.
     pub fn record(&self, slot: usize) -> Record {
         Record {

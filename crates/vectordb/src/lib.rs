@@ -280,12 +280,6 @@ impl VectorIndex for FlatIndex {
     }
 }
 
-/// Inverted-file (IVF) index: records are partitioned by k-means over a
-/// training sample; queries probe the `nprobe` nearest partitions.
-///
-/// Until [`IvfIndex::train`] is called (or before `train_threshold` records
-/// exist), searches fall back to an exact scan, so the index is always
-/// correct — training only changes the speed/recall trade-off.
 /// One serialized metadata pair. The serde derive shim has no tuple
 /// support, and emitting pairs sorted by key keeps the serialized form
 /// deterministic regardless of `HashMap` iteration order.
@@ -297,23 +291,24 @@ pub struct MetaPair {
     pub value: String,
 }
 
-/// Serialized form of one stored [`Record`].
+/// Serialized slot of one stored [`Record`]: its id and metadata. The
+/// vector is not part of the state — the caller supplies it by id at
+/// [`IvfIndex::from_state`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecordState {
     /// Caller-assigned identifier.
     pub id: u64,
-    /// The embedding vector (f32 round-trips exactly through JSON: the
-    /// shortest-round-trip float printer preserves every bit pattern).
-    pub vector: Embedding,
     /// Metadata pairs, sorted by key.
     pub metadata: Vec<MetaPair>,
 }
 
-/// Complete serialized state of an [`IvfIndex`] — centroids, partition
-/// contents *in storage order* (offsets are load-bearing: `by_id` indexes
-/// into them), and the retrain-policy counters. Restoring this state and
-/// continuing to mutate produces byte-identical behavior to the original
-/// index, which is what lets journal checkpoints cover the ingest path.
+/// Serialized layout of an [`IvfIndex`] — centroids, each partition's
+/// record ids and metadata *in storage order* (offsets are load-bearing:
+/// `by_id` indexes into them), and the retrain-policy counters. Record
+/// vectors are left out: callers that can recompute them (journal
+/// checkpoints re-embed the row texts) hand them back by id. Restoring
+/// the layout with the same vectors and continuing to mutate produces
+/// byte-identical behavior to the original index.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IvfState {
     /// Vector dimensionality.
@@ -336,6 +331,12 @@ pub struct IvfState {
     pub trains: u64,
 }
 
+/// Inverted-file (IVF) index: records are partitioned by k-means over a
+/// training sample; queries probe the `nprobe` nearest partitions.
+///
+/// Until [`IvfIndex::train`] is called (or before `train_threshold` records
+/// exist), searches fall back to an exact scan, so the index is always
+/// correct — training only changes the speed/recall trade-off.
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     dims: usize,
@@ -401,16 +402,16 @@ impl IvfIndex {
         self.quant = enabled;
     }
 
-    /// Snapshot the full index state for serialization (see [`IvfState`]).
+    /// Snapshot the index layout for serialization (see [`IvfState`]).
     pub fn to_state(&self) -> IvfState {
-        let ser_record = |r: Record| {
-            let mut metadata: Vec<MetaPair> = r
-                .metadata
-                .into_iter()
-                .map(|(key, value)| MetaPair { key, value })
+        let ser_slot = |p: &RowPool, slot: usize| {
+            let mut metadata: Vec<MetaPair> = p
+                .meta(slot)
+                .iter()
+                .map(|(key, value)| MetaPair { key: key.clone(), value: value.clone() })
                 .collect();
             metadata.sort_by(|a, b| a.key.cmp(&b.key));
-            RecordState { id: r.id, vector: r.vector, metadata }
+            RecordState { id: p.id(slot), metadata }
         };
         IvfState {
             dims: self.dims as u64,
@@ -420,7 +421,7 @@ impl IvfIndex {
             partitions: self
                 .partitions
                 .iter()
-                .map(|p| (0..p.len()).map(|slot| ser_record(p.record(slot))).collect())
+                .map(|p| (0..p.len()).map(|slot| ser_slot(p, slot)).collect())
                 .collect(),
             target_partitions: self.target_partitions as u64,
             mutations: self.mutations as u64,
@@ -429,9 +430,14 @@ impl IvfIndex {
         }
     }
 
-    /// Rebuild an index from a serialized snapshot. The recorder starts
-    /// disabled — reattach one with [`set_recorder`](Self::set_recorder).
-    pub fn from_state(state: IvfState) -> IvfIndex {
+    /// Rebuild an index from a serialized layout, taking each record's
+    /// vector from `vector_of(id)`. Records it has no vector for (or one of
+    /// the wrong dimensionality) are dropped. The recorder starts disabled
+    /// — reattach one with [`set_recorder`](Self::set_recorder).
+    pub fn from_state(
+        state: IvfState,
+        mut vector_of: impl FnMut(u64) -> Option<Embedding>,
+    ) -> IvfIndex {
         let dims = (state.dims as usize).max(1);
         let mut centroids = state.centroids;
         let mut record_partitions: Vec<Vec<Record>> = state
@@ -439,13 +445,10 @@ impl IvfIndex {
             .into_iter()
             .map(|p| {
                 p.into_iter()
-                    .filter(|r| r.vector.dims() == dims) // defensive: drop corrupt rows
-                    .map(|r| {
-                        let mut metadata = HashMap::new();
-                        for m in r.metadata {
-                            metadata.insert(m.key, m.value);
-                        }
-                        Record { id: r.id, vector: r.vector, metadata }
+                    .filter_map(|r| {
+                        let vector = vector_of(r.id).filter(|v| v.dims() == dims)?;
+                        let metadata = r.metadata.into_iter().map(|m| (m.key, m.value)).collect();
+                        Some(Record { id: r.id, vector, metadata })
                     })
                     .collect()
             })
@@ -791,31 +794,44 @@ mod tests {
     #[test]
     fn ivf_state_roundtrip_preserves_structure_and_behavior() {
         let mut idx = IvfIndex::new(2, 2);
+        let mut vectors: HashMap<u64, Embedding> = HashMap::new();
+        let mut insert = |idx: &mut IvfIndex, r: Record| {
+            vectors.insert(r.id, r.vector.clone());
+            idx.insert(r);
+        };
         for i in 0..12u64 {
             let angle = i as f32 * 0.5;
-            idx.insert(
+            insert(
+                &mut idx,
                 Record::new(i, vec2(angle.cos(), angle.sin()))
                     .with_meta("label", if i % 2 == 0 { "even" } else { "odd" })
                     .with_meta("src", "test"),
             );
         }
         idx.train(3);
-        idx.insert(Record::new(12, vec2(0.1, 0.9)));
+        insert(&mut idx, Record::new(12, vec2(0.1, 0.9)));
         idx.remove(3);
 
         let state = idx.to_state();
-        // JSON round trip: what a journal checkpoint actually stores.
+        // JSON round trip: what a journal checkpoint actually stores — the
+        // layout and metadata, never the vectors.
         let json = serde_json::to_string(&state).unwrap();
+        assert!(!json.contains("vector"), "vectors leaked into the layout: {json}");
         let state2: IvfState = serde_json::from_str(&json).unwrap();
         assert_eq!(state, state2);
 
-        let restored = IvfIndex::from_state(state2);
+        let restored = IvfIndex::from_state(state2, |id| vectors.get(&id).cloned());
+        assert_eq!(restored.to_state(), state);
         assert_eq!(restored.len(), idx.len());
         assert_eq!(restored.train_count(), idx.train_count());
         assert_eq!(restored.mutations_since_train(), idx.mutations_since_train());
-        // Identical structure ⇒ identical search results…
+        // Identical structure ⇒ identical search results, filtered ones
+        // included (the metadata round-tripped)…
         let q = vec2(0.6, 0.8);
         assert_eq!(restored.search(&q, 5), idx.search(&q, 5));
+        let odd = Filter::none().must("label", "odd").must("src", "test");
+        assert_eq!(restored.search_filtered(&q, 5, &odd), idx.search_filtered(&q, 5, &odd));
+        assert_eq!(restored.get(5).unwrap().metadata, idx.get(5).unwrap().metadata);
         // …and identical behavior under further mutations (auto-retrain
         // counters continue from the restored values).
         let mut a = idx.clone();
@@ -830,6 +846,22 @@ mod tests {
     }
 
     #[test]
+    fn ivf_state_drops_records_without_a_usable_vector() {
+        let mut idx = IvfIndex::new(2, 1);
+        for i in 0..6u64 {
+            idx.insert(Record::new(i, vec2(i as f32, 1.0)));
+        }
+        let restored = IvfIndex::from_state(idx.to_state(), |id| match id {
+            2 => None,
+            4 => Some(Embedding::new(vec![1.0, 2.0, 3.0])),
+            _ => Some(vec2(id as f32, 1.0)),
+        });
+        assert_eq!(restored.len(), 4);
+        assert!(restored.get(2).is_none() && restored.get(4).is_none());
+        assert_eq!(restored.search(&vec2(5.0, 1.0), 1)[0].id, 5);
+    }
+
+    #[test]
     fn ivf_state_repairs_inconsistent_partition_layout() {
         let mut idx = IvfIndex::new(2, 1);
         for i in 0..6u64 {
@@ -840,7 +872,7 @@ mod tests {
         // Simulate a snapshot whose partition list lost a bucket: the
         // restore must not leave `assign` pointing past the end.
         state.partitions.pop();
-        let restored = IvfIndex::from_state(state);
+        let restored = IvfIndex::from_state(state, |id| Some(vec2(id as f32, 1.0)));
         assert!(restored.len() <= 6);
         let hits = restored.search(&vec2(2.0, 1.0), 3);
         assert!(!hits.is_empty());

@@ -15,6 +15,10 @@
 //! - Flipping or truncating bytes at arbitrary offsets in checkpoint
 //!   files or the compacted WAL always degrades recovery to the previous
 //!   durable state — it never errors and never diverges.
+//! - Checkpoints store the document index as its layout only (no
+//!   vectors, well under 1 KiB per row), and a session restored from one
+//!   serves bit-identical `search_similar` hits — retracted rows and
+//!   auto-retrained partitions included.
 //! - A live journal directory is exclusive: a second session gets a typed
 //!   `Locked` error instead of interleaved appends.
 
@@ -482,6 +486,90 @@ fn recovery_is_byte_identical_across_threads_and_chaos() {
             std::fs::remove_dir_all(&dir).ok();
         }
     }
+}
+
+#[test]
+fn checkpoints_store_the_index_layout_and_restore_identical_search_hits() {
+    let _g = GLOBAL_GUARD.lock().unwrap_or_else(|p| p.into_inner());
+    // every=3: the only checkpoint lands after the last batch, so the
+    // recovered index comes from its layout with no delta replayed. One
+    // probed partition makes the hits depend on the partitioning itself.
+    let config = || {
+        let mut config = with_policy(tuned(AllHandsConfig::default()), 3, 1);
+        config.ingest.ivf_nprobe = 1;
+        config
+    };
+    let (texts, labeled, predefined) = corpus();
+    let dir = scratch_dir("layout");
+    let retracted = 3u64;
+    let queries: Vec<String> = [
+        texts[retracted as usize].clone(),
+        texts[7].clone(),
+        "battery drains overnight".to_string(),
+        "please add a dark mode".to_string(),
+    ]
+    .to_vec();
+    let search_all = |ah: &mut AllHands| -> Vec<Vec<(u64, u32)>> {
+        queries
+            .iter()
+            .map(|q| {
+                let hits = ah.search_similar(q, 10).expect("search_similar failed");
+                hits.into_iter().map(|(id, score)| (id, score.to_bits())).collect()
+            })
+            .collect()
+    };
+
+    let (mut ah, _frame) = AllHands::builder(ModelTier::Gpt4)
+        .config(config())
+        .journal(JournalMode::Continue(dir.clone()))
+        .analyze(&texts, &labeled, &predefined)
+        .unwrap();
+    let mut retrained = false;
+    for (i, batch) in batches().iter().enumerate() {
+        retrained |= ah.ingest(batch).unwrap().retrained;
+        if i == 0 {
+            assert!(ah.retract(retracted).unwrap(), "row {retracted} was not indexed");
+        }
+    }
+    assert!(retrained, "the index never auto-retrained before the checkpoint");
+    let live = search_all(&mut ah);
+    assert!(
+        live[0].iter().all(|&(id, _)| id != retracted),
+        "the live session still returns the retracted row"
+    );
+    let rows = texts.len() + batches().iter().map(Vec::len).sum::<usize>();
+    drop(ah);
+
+    let j = Journal::open(&dir).unwrap();
+    let newest = j.checkpoints().last().expect("no checkpoint written");
+    assert_eq!(newest.marker, batches().len() as u64);
+    let partitions = match &newest.payload["doc_index"]["partitions"] {
+        serde_json::Value::Array(p) => p.clone(),
+        other => panic!("checkpoint has no document-index layout: {other:?}"),
+    };
+    let mut indexed = 0;
+    for record in partitions.iter().flat_map(|p| match p {
+        serde_json::Value::Array(records) => records.clone(),
+        other => panic!("malformed partition: {other:?}"),
+    }) {
+        let serde_json::Value::Object(fields) = &record else {
+            panic!("malformed index record: {record:?}")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["id", "metadata"], "index record carries more than its layout");
+        indexed += 1;
+    }
+    assert_eq!(indexed, rows - 1, "layout should hold every row but the retracted one");
+    let file = dir.join(format!("ckpt-{:010}.json", newest.marker));
+    let bytes = std::fs::metadata(&file).unwrap().len() as usize;
+    assert!(bytes < 1024 * rows, "checkpoint is {bytes} B for {rows} rows");
+    drop(j);
+
+    let (mut ah, _frame) = recover(config(), &dir, None).expect("recover_latest must succeed");
+    assert_eq!(ah.run_report().counter("recover.delta_replays"), 0);
+    assert_eq!(search_all(&mut ah), live, "restored index serves different hits");
+    drop(ah);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Deterministic xorshift64* for the corruption fuzz offsets.
