@@ -1147,6 +1147,7 @@ impl AllHands {
         ));
         resilience.restore(&state.resilience);
         journal.set_crash_hook(resilience.crash_hook());
+        let frame_span = recorder.span("frame");
         let sentiments: Vec<f64> = state.texts.iter().map(|t| estimate_sentiment(t)).collect();
         let frame = build_frame(&state.texts, &state.row_labels, &sentiments, &state.doc_topics)?;
         let mut agent = QaAgent::new(
@@ -1158,6 +1159,7 @@ impl AllHands {
         for record in &state.answers {
             agent.restore_answer(record.clone());
         }
+        drop(frame_span);
         let mut ingest = IngestState {
             llm,
             labeled_sample: labeled_sample.to_vec(),

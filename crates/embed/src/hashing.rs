@@ -4,11 +4,20 @@
 //! reproducibility guarantees of the embedder; these are stable across runs
 //! and platforms.
 
+/// FNV-1a offset basis: the hash of the empty string.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a hash of a string.
 #[inline]
 pub fn hash64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
+    fnv_extend(FNV_OFFSET, s.as_bytes())
+}
+
+/// Continue an FNV-1a hash `h` over `bytes`: hashing a string in pieces
+/// gives the hash of their concatenation, without building it.
+#[inline]
+pub(crate) fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }

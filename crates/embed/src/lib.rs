@@ -34,7 +34,8 @@ pub use hashing::{hash64, mix64};
 pub use vector::{dot_slices, norm_slice, sq_dist_slices, Embedding};
 
 use allhands_obs::Recorder;
-use allhands_text::{char_ngrams, detect_language, light_preprocess, Language};
+use hashing::{fnv_extend, FNV_OFFSET};
+use allhands_text::{detect_language, light_preprocess, Language};
 use std::collections::HashMap;
 
 /// Configuration for [`SentenceEmbedder`].
@@ -158,28 +159,51 @@ impl SentenceEmbedder {
 
     /// Add a feature's pseudo-random direction into `acc` with `weight`.
     fn add_feature(&self, acc: &mut [f32], feature: &str, weight: f32) {
-        if weight == 0.0 {
-            return;
-        }
-        let base = hash64(feature) ^ self.config.seed;
-        // Generate `dims` pseudo-random values in [-1, 1] from a splitmix
-        // chain; two values per 64-bit output.
-        let mut state = base;
-        let mut i = 0;
-        while i < acc.len() {
-            state = mix64(state);
-            let lo = (state & 0xFFFF_FFFF) as u32;
-            let hi = (state >> 32) as u32;
-            acc[i] += weight * to_unit(lo);
-            if i + 1 < acc.len() {
-                acc[i + 1] += weight * to_unit(hi);
+        add_direction(acc, hash64(feature) ^ self.config.seed, weight);
+    }
+
+    /// Call `f(fnv_hash, weight)` for every feature of `tokens`, in the
+    /// order their directions are summed: each token, then its char
+    /// n-grams, and after all tokens the bigrams. Hashes are streamed over
+    /// the feature's bytes, so no feature string is built.
+    fn for_each_feature(&self, tokens: &[String], mut f: impl FnMut(u64, f32)) {
+        let n = self.config.char_ngram;
+        let mut utf8 = [0u8; 4];
+        for tok in tokens {
+            let w = self.sif_weight(tok);
+            f(hash64(tok), w);
+            if n == 0 || tok.starts_with('<') {
+                continue;
             }
-            i += 2;
+            // Windows of `n` chars over `<tok>`; a bounded word shorter
+            // than `n` is one feature on its own.
+            let grams = (tok.chars().count() + 3).saturating_sub(n).max(1);
+            let gw = w * self.config.char_weight / grams as f32;
+            let mut window = std::iter::once('<').chain(tok.chars()).chain(std::iter::once('>'));
+            for _ in 0..grams {
+                let h = window
+                    .clone()
+                    .take(n)
+                    .fold(FNV_OFFSET, |h, c| fnv_extend(h, c.encode_utf8(&mut utf8).as_bytes()));
+                f(h, gw);
+                window.next();
+            }
+        }
+        if self.config.use_bigrams {
+            for pair in tokens.windows(2) {
+                let h = fnv_extend(FNV_OFFSET, pair[0].as_bytes());
+                f(fnv_extend(fnv_extend(h, b"+"), pair[1].as_bytes()), 0.5);
+            }
         }
     }
 
     /// Embed a sentence into a unit vector. Empty/degenerate input yields
     /// the zero vector (cosine with anything = 0).
+    ///
+    /// Features are summed four at a time: their splitmix chains
+    /// advance in lockstep and each accumulator element takes their
+    /// contributions in feature order, so every float addition happens in
+    /// the same order as one feature at a time and the bits are identical.
     pub fn embed(&self, text: &str) -> Embedding {
         self.rec.vincr("embed.computes");
         let tokens = light_preprocess(text);
@@ -187,22 +211,22 @@ impl SentenceEmbedder {
         if tokens.is_empty() {
             return Embedding::new(acc);
         }
-        for tok in &tokens {
-            let w = self.sif_weight(tok);
-            self.add_feature(&mut acc, tok, w);
-            if self.config.char_ngram > 0 && !tok.starts_with('<') {
-                let grams = char_ngrams(tok, self.config.char_ngram);
-                let gw = w * self.config.char_weight / grams.len().max(1) as f32;
-                for g in &grams {
-                    self.add_feature(&mut acc, g, gw);
-                }
+        let seed = self.config.seed;
+        let mut lanes = [(0u64, 0.0f32); LANES];
+        let mut filled = 0;
+        self.for_each_feature(&tokens, |h, w| {
+            if w == 0.0 {
+                return;
             }
-        }
-        if self.config.use_bigrams {
-            for pair in tokens.windows(2) {
-                let bigram = format!("{}+{}", pair[0], pair[1]);
-                self.add_feature(&mut acc, &bigram, 0.5);
+            lanes[filled] = (h ^ seed, w);
+            filled += 1;
+            if filled == LANES {
+                add_directions(&mut acc, &lanes);
+                filled = 0;
             }
+        });
+        for &(state, w) in &lanes[..filled] {
+            add_direction(&mut acc, state, w);
         }
         let inv = 1.0 / tokens.len() as f32;
         for v in &mut acc {
@@ -222,6 +246,55 @@ impl SentenceEmbedder {
 /// Map a u32 to [-1, 1).
 fn to_unit(x: u32) -> f32 {
     (x as f32 / u32::MAX as f32) * 2.0 - 1.0
+}
+
+/// Features whose directions [`SentenceEmbedder::embed`] sums together.
+const LANES: usize = 4;
+
+/// Add `weight` times the pseudo-random direction seeded by `state` into
+/// `acc`: `dims` values in [-1, 1] from a splitmix chain, two per 64-bit
+/// output.
+fn add_direction(acc: &mut [f32], mut state: u64, weight: f32) {
+    if weight == 0.0 {
+        return;
+    }
+    let mut pairs = acc.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        state = mix64(state);
+        pair[0] += weight * to_unit(state as u32);
+        pair[1] += weight * to_unit((state >> 32) as u32);
+    }
+    if let [last] = pairs.into_remainder() {
+        *last += weight * to_unit(mix64(state) as u32);
+    }
+}
+
+/// [`add_direction`] for [`LANES`] features at once. The chains are
+/// independent, so they overlap in the pipeline; each element still adds
+/// the lanes' terms one after another in lane order, which is the order
+/// `add_direction` called per lane would add them.
+fn add_directions(acc: &mut [f32], lanes: &[(u64, f32); LANES]) {
+    let mut state = lanes.map(|(s, _)| s);
+    let weight = lanes.map(|(_, w)| w);
+    let mut pairs = acc.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        state = state.map(mix64);
+        let (mut lo, mut hi) = (pair[0], pair[1]);
+        for l in 0..LANES {
+            lo += weight[l] * to_unit(state[l] as u32);
+        }
+        for l in 0..LANES {
+            hi += weight[l] * to_unit((state[l] >> 32) as u32);
+        }
+        pair[0] = lo;
+        pair[1] = hi;
+    }
+    if let [last] = pairs.into_remainder() {
+        state = state.map(mix64);
+        for l in 0..LANES {
+            *last += weight[l] * to_unit(state[l] as u32);
+        }
+    }
 }
 
 /// A memoizing view over a [`SentenceEmbedder`]: identical input text is
@@ -446,6 +519,178 @@ mod tests {
     #[should_panic(expected = "dims must be positive")]
     fn zero_dims_panics() {
         SentenceEmbedder::new(EmbedderConfig { dims: 0, ..Default::default() });
+    }
+
+    /// The embedder configurations of the two `ModelSpec` tiers
+    /// (`allhands-llm` depends on this crate, so they are restated here).
+    fn gpt35_tier() -> EmbedderConfig {
+        EmbedderConfig { dims: 256, use_bigrams: true, char_ngram: 0, ..Default::default() }
+    }
+
+    fn gpt4_tier() -> EmbedderConfig {
+        EmbedderConfig { dims: 512, use_bigrams: true, char_ngram: 3, ..Default::default() }
+    }
+
+    /// FNV-1a over the little-endian bits of every component.
+    fn bits_digest(e: &Embedding) -> u64 {
+        e.as_slice().iter().fold(FNV_OFFSET, |h, v| fnv_extend(h, &v.to_bits().to_le_bytes()))
+    }
+
+    #[test]
+    fn golden_digests() {
+        // Pinned output bits: any change to tokenization, hashing, the
+        // direction stream or the order of float additions shows up here.
+        const TEXTS: [&str; 4] = [
+            "the app crashes on startup",
+            "Please add a dark mode!!! 😡 see https://example.com 42 times",
+            "los resultados son incorrectos",
+            "a",
+        ];
+        let got: Vec<Vec<u64>> = [gpt35_tier(), gpt4_tier()]
+            .into_iter()
+            .map(|config| {
+                let e = SentenceEmbedder::new(config);
+                TEXTS.iter().map(|t| bits_digest(&e.embed(t))).collect()
+            })
+            .collect();
+        assert_eq!(got, [GOLDEN_GPT35, GOLDEN_GPT4], "{got:#018x?}");
+    }
+
+    const GOLDEN_GPT35: [u64; 4] =
+        [0x5c52_d844_683e_117b, 0x4776_87a0_2830_ebd8, 0x98a4_955b_6699_7f6f, 0xe71c_59a8_cad7_4bd9];
+    const GOLDEN_GPT4: [u64; 4] =
+        [0x60d5_090d_488c_fcbc, 0xa3f3_7daf_6541_4baa, 0x658e_2989_5345_483e, 0x4673_6834_6bab_d7f1];
+
+    /// The one-feature-at-a-time direction sum the lane kernel replaced.
+    fn reference_add_feature(e: &SentenceEmbedder, acc: &mut [f32], feature: &str, weight: f32) {
+        if weight == 0.0 {
+            return;
+        }
+        let mut state = hash64(feature) ^ e.config.seed;
+        let mut i = 0;
+        while i < acc.len() {
+            state = mix64(state);
+            let lo = (state & 0xFFFF_FFFF) as u32;
+            let hi = (state >> 32) as u32;
+            acc[i] += weight * to_unit(lo);
+            if i + 1 < acc.len() {
+                acc[i + 1] += weight * to_unit(hi);
+            }
+            i += 2;
+        }
+    }
+
+    /// The embed the lane kernel replaced, kept as the reference it must
+    /// match bit for bit.
+    fn reference_embed(e: &SentenceEmbedder, text: &str) -> Embedding {
+        let tokens = light_preprocess(text);
+        let mut acc = vec![0.0f32; e.config.dims];
+        if tokens.is_empty() {
+            return Embedding::new(acc);
+        }
+        for tok in &tokens {
+            let w = e.sif_weight(tok);
+            reference_add_feature(e, &mut acc, tok, w);
+            if e.config.char_ngram > 0 && !tok.starts_with('<') {
+                let grams = allhands_text::char_ngrams(tok, e.config.char_ngram);
+                let gw = w * e.config.char_weight / grams.len().max(1) as f32;
+                for g in &grams {
+                    reference_add_feature(e, &mut acc, g, gw);
+                }
+            }
+        }
+        if e.config.use_bigrams {
+            for pair in tokens.windows(2) {
+                reference_add_feature(e, &mut acc, &format!("{}+{}", pair[0], pair[1]), 0.5);
+            }
+        }
+        let inv = 1.0 / tokens.len() as f32;
+        for v in &mut acc {
+            *v *= inv;
+        }
+        let mut out = Embedding::new(acc);
+        out.normalize();
+        out
+    }
+
+    /// Generated feedback from all three corpora plus degenerate and
+    /// unusual inputs.
+    fn kernel_texts() -> Vec<String> {
+        use allhands_datasets::{generate_n, DatasetKind};
+        let mut texts: Vec<String> = [
+            "", "!!!", "a", "ab", "a b", "ab cd e", "I", "😡", "😡😡 app 😡",
+            "see https://example.com/path?q=1 now", "42", "version 3.14 broke 7 things",
+            "搜索结果不准确", "naïve café über straße", "x y z w v", "crashhhhhhhhhhhhing",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        for kind in [DatasetKind::GoogleStoreApp, DatasetKind::ForumPost, DatasetKind::MSearch] {
+            texts.extend(generate_n(kind, 60, 7).into_iter().map(|r| r.text));
+        }
+        texts
+    }
+
+    fn assert_matches_reference(e: &SentenceEmbedder, texts: &[String], what: &str) {
+        for t in texts {
+            let got: Vec<u32> = e.embed(t).as_slice().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> =
+                reference_embed(e, t).as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{what}: bits differ for {t:?}");
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_reference_bits() {
+        let texts = kernel_texts();
+        let mut configs = vec![
+            ("small", EmbedderConfig::small()),
+            ("default", EmbedderConfig::default()),
+            ("large", EmbedderConfig::large()),
+            ("gpt35", gpt35_tier()),
+            ("gpt4", gpt4_tier()),
+            ("char_weight 0", EmbedderConfig { char_weight: 0.0, ..gpt4_tier() }),
+        ];
+        for dims in [1, 3, 7, 130] {
+            configs.push(("odd dims", EmbedderConfig { dims, ..Default::default() }));
+        }
+        for char_ngram in [0, 2, 3, 4, 6] {
+            configs.push(("char_ngram", EmbedderConfig { char_ngram, ..Default::default() }));
+        }
+        for (what, config) in configs {
+            let mut e = SentenceEmbedder::new(config);
+            assert_matches_reference(&e, &texts, what);
+            e.fit(&texts);
+            assert_matches_reference(&e, &texts, &format!("{what}, fitted"));
+        }
+    }
+
+    #[test]
+    fn kernel_texts_cover_every_lane_remainder() {
+        // The scalar tail handles 1-3 leftover features; every remainder
+        // must occur under a char-n-gram tier and a word-only one.
+        let texts = kernel_texts();
+        for config in [gpt4_tier(), EmbedderConfig::small()] {
+            let e = SentenceEmbedder::new(config);
+            let mut seen = [false; LANES];
+            for t in &texts {
+                let mut n = 0;
+                e.for_each_feature(&light_preprocess(t), |_, w| n += usize::from(w != 0.0));
+                seen[n % LANES] = true;
+            }
+            assert_eq!(seen, [true; LANES]);
+        }
+    }
+
+    #[test]
+    fn feature_hashes_match_feature_strings() {
+        let e = SentenceEmbedder::new(EmbedderConfig { char_ngram: 4, ..Default::default() });
+        let tokens: Vec<String> = ["ab", "não", "<url>"].iter().map(|s| s.to_string()).collect();
+        let mut got = Vec::new();
+        e.for_each_feature(&tokens, |h, _| got.push(h));
+        let want: Vec<u64> =
+            ["ab", "<ab>", "não", "<não", "não>", "<url>", "ab+não", "não+<url>"].map(hash64).to_vec();
+        assert_eq!(got, want);
     }
 
     #[test]

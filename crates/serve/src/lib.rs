@@ -91,8 +91,16 @@ pub mod protocol {
                 format!("frame length {n} exceeds MAX_FRAME"),
             ));
         }
-        let mut buf = vec![0u8; n];
-        r.read_exact(&mut buf)?;
+        // Grow the buffer as the body arrives: a length prefix alone must
+        // not buy a MAX_FRAME allocation.
+        let mut buf = Vec::with_capacity(n.min(64 << 10));
+        r.take(n as u64).read_to_end(&mut buf)?;
+        if buf.len() < n {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("frame body ended after {} of {n} bytes", buf.len()),
+            ));
+        }
         let text = String::from_utf8(buf)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
         text.parse::<Value>()
@@ -336,7 +344,7 @@ impl Server {
         {
             let shared = Arc::clone(&shared);
             let tx = writer_tx.clone();
-            threads.push(std::thread::spawn(move || accept_loop(listener, &shared, &tx)));
+            threads.push(std::thread::spawn(move || accept_loop(listener.incoming(), &shared, &tx)));
         }
 
         Ok(Server { socket: socket.to_path_buf(), shared, writer_tx: Some(writer_tx), threads })
@@ -512,12 +520,36 @@ fn applier_loop(i: usize, shared: &Shared) {
     }
 }
 
-fn accept_loop(listener: UnixListener, shared: &Arc<Shared>, writer_tx: &mpsc::SyncSender<WriteCmd>) {
-    for stream in listener.incoming() {
+/// Longest pause after a run of failed accepts.
+const MAX_ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+
+/// Give every accepted connection its own handler thread until shutdown.
+/// A failed accept (`EMFILE` when the process is out of descriptors, a
+/// connection aborted before it was taken) is counted and retried after a
+/// backoff that doubles up to [`MAX_ACCEPT_BACKOFF`]; it never takes the
+/// server offline.
+fn accept_loop(
+    incoming: impl IntoIterator<Item = io::Result<UnixStream>>,
+    shared: &Arc<Shared>,
+    writer_tx: &mpsc::SyncSender<WriteCmd>,
+) {
+    let mut backoff = Duration::from_millis(1);
+    for stream in incoming {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { break };
+        let stream = match stream {
+            Ok(stream) => {
+                backoff = Duration::from_millis(1);
+                stream
+            }
+            Err(_) => {
+                shared.recorder.vincr("serve.accept_errors");
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(MAX_ACCEPT_BACKOFF);
+                continue;
+            }
+        };
         shared.recorder.vincr("serve.connections");
         let shared = Arc::clone(shared);
         let tx = writer_tx.clone();
@@ -1005,6 +1037,68 @@ mod tests {
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         buf.extend_from_slice(b"garbage");
         assert!(protocol::read_frame(&mut Cursor::new(buf)).is_err());
+    }
+
+    /// A reader that records the largest buffer it was asked to fill.
+    struct Probe {
+        inner: Cursor<Vec<u8>>,
+        largest_read: usize,
+    }
+
+    impl io::Read for Probe {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_read = self.largest_read.max(buf.len());
+            io::Read::read(&mut self.inner, buf)
+        }
+    }
+
+    #[test]
+    fn short_frame_bodies_are_errors_not_allocations() {
+        // The prefix claims 60 MiB (under MAX_FRAME); only 10 bytes follow.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&(60u32 << 20).to_le_bytes());
+        bytes.extend_from_slice(b"{\"op\":\"pi");
+        let mut r = Probe { inner: Cursor::new(bytes), largest_read: 0 };
+        let err = protocol::read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.largest_read <= 64 << 10, "read into a {} byte buffer", r.largest_read);
+    }
+
+    /// Server state with no sessions behind it: enough for `ping`.
+    fn sessionless_shared() -> Arc<Shared> {
+        Arc::new(Shared {
+            socket: PathBuf::new(),
+            followers: Vec::new(),
+            follower_seq: Vec::new(),
+            reads: Vec::new(),
+            leader_seq: AtomicU64::new(0),
+            leader_chain: Mutex::new(String::new()),
+            fingerprint: String::new(),
+            rr: AtomicUsize::new(0),
+            queue_depth: AtomicU64::new(0),
+            queue_capacity: 1,
+            log: Mutex::new(RepLog { base: 0, entries: Vec::new() }),
+            log_cv: Condvar::new(),
+            paused: AtomicBool::new(false),
+            broken: Mutex::new(None),
+            shutdown: AtomicBool::new(false),
+            recorder: Recorder::new(),
+        })
+    }
+
+    #[test]
+    fn accept_errors_do_not_stop_the_server() {
+        let shared = sessionless_shared();
+        let (writer_tx, _writer_rx) = mpsc::sync_channel(1);
+        let (server_end, mut client) = UnixStream::pair().unwrap();
+        let emfile = io::Error::from_raw_os_error(24);
+        accept_loop([Err(emfile), Ok(server_end)], &shared, &writer_tx);
+        protocol::write_frame(&mut client, &json!({"op": "ping"})).unwrap();
+        let resp = protocol::read_frame(&mut client).unwrap().unwrap();
+        assert_eq!(resp["pong"], json!(true));
+        let report = shared.recorder.report();
+        assert_eq!(report.volatile_counters.get("serve.accept_errors"), Some(&1));
+        assert_eq!(report.volatile_counters.get("serve.connections"), Some(&1));
     }
 
     #[test]
