@@ -1,9 +1,12 @@
 //! Typed columns with per-cell nullability.
 
 use crate::error::FrameError;
+use crate::groupby::GroupKey;
 use crate::value::Value;
 use crate::Result;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Column data type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -132,16 +135,29 @@ impl ColumnData {
 }
 
 /// A named, typed column.
+///
+/// The storage is shared and immutable: cloning a column (and so a frame,
+/// a projection or a renamed copy) bumps a reference count instead of
+/// copying cells. Every operation that changes cells builds new storage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Column {
     name: String,
-    data: ColumnData,
+    data: Arc<ColumnData>,
 }
 
 impl Column {
     /// Create a column from storage.
     pub fn new(name: &str, data: ColumnData) -> Self {
-        Column { name: name.to_string(), data }
+        Column {
+            name: name.to_string(),
+            data: Arc::new(data),
+        }
+    }
+
+    /// Do both columns read the same storage?
+    #[cfg(test)]
+    pub(crate) fn shares_storage(&self, other: &Column) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// Non-null i64 column.
@@ -233,7 +249,10 @@ impl Column {
 
     /// Select rows at `indices` into a new column.
     pub fn take(&self, indices: &[usize]) -> Column {
-        Column { name: self.name.clone(), data: self.data.take(indices) }
+        Column {
+            name: self.name.clone(),
+            data: Arc::new(self.data.take(indices)),
+        }
     }
 
     /// Numeric view of the cells (nulls and non-numerics become None).
@@ -294,16 +313,12 @@ impl Column {
         Some(if vals.len() % 2 == 0 { (vals[mid - 1] + vals[mid]) / 2.0 } else { vals[mid] })
     }
 
-    /// Number of distinct non-null values.
+    /// Number of distinct non-null values, under the group-by key
+    /// equivalence (all NaNs are one value; `-0.0` and `0.0` are two).
     pub fn n_unique(&self) -> usize {
-        let mut vals: Vec<String> = self
-            .iter()
-            .filter(|v| !v.is_null())
-            .map(|v| format!("{v:?}"))
-            .collect();
-        vals.sort();
-        vals.dedup();
-        vals.len()
+        let distinct: HashSet<GroupKey<'_>> =
+            (0..self.len()).map(|i| self.data.group_key(i)).collect();
+        distinct.len() - usize::from(distinct.contains(&GroupKey::Null))
     }
 
     /// Require the column to be of `expected` type.
@@ -321,7 +336,7 @@ impl Column {
 
     /// Borrow string cells (errors unless a Str column).
     pub fn strs(&self) -> Result<&[Option<String>]> {
-        match &self.data {
+        match &*self.data {
             ColumnData::Str(v) => Ok(v),
             _ => Err(FrameError::TypeMismatch {
                 column: self.name.clone(),
@@ -333,7 +348,7 @@ impl Column {
 
     /// Borrow string-list cells (errors unless a StrList column).
     pub fn str_lists(&self) -> Result<&[Option<Vec<String>>]> {
-        match &self.data {
+        match &*self.data {
             ColumnData::StrList(v) => Ok(v),
             _ => Err(FrameError::TypeMismatch {
                 column: self.name.clone(),
@@ -345,7 +360,7 @@ impl Column {
 
     /// Borrow datetime cells (errors unless a DateTime column).
     pub fn datetimes(&self) -> Result<&[Option<i64>]> {
-        match &self.data {
+        match &*self.data {
             ColumnData::DateTime(v) => Ok(v),
             _ => Err(FrameError::TypeMismatch {
                 column: self.name.clone(),

@@ -392,15 +392,21 @@ impl DataFrame {
                 }
             }
         }
-        let mut out = self.take(&indices);
+        // Gather only the columns that are kept; the exploded column takes
+        // its old place in the order.
         let new_col = Column::new(column, ColumnData::Str(exploded));
-        // Replace in place preserving column order.
-        out.columns = out
+        let columns = self
             .columns
-            .into_iter()
-            .map(|c| if c.name() == column { new_col.clone() } else { c })
+            .iter()
+            .map(|c| {
+                if c.name() == column {
+                    new_col.clone()
+                } else {
+                    c.take(&indices)
+                }
+            })
             .collect();
-        Ok(out)
+        Ok(DataFrame { columns })
     }
 
     /// Render the first `max_rows` rows as a fixed-width text table
@@ -572,6 +578,78 @@ mod tests {
         assert_eq!(e.cell(1, "id").unwrap(), Value::str("a"));
         assert_eq!(e.cell(2, "id").unwrap(), Value::str("c"));
         assert_eq!(e.column("topics").unwrap().dtype(), DType::Str);
+    }
+
+    #[test]
+    fn explode_matches_take_then_replace() {
+        let df = DataFrame::new(vec![
+            Column::from_i64s("id", &[1, 2, 3, 4, 5]),
+            Column::new(
+                "topics",
+                ColumnData::StrList(vec![
+                    Some(vec!["bug".into(), "ui".into()]),
+                    None,
+                    Some(vec![]),
+                    Some(vec!["perf".into(), "bug".into(), "perf".into()]),
+                    None,
+                ]),
+            ),
+            Column::new(
+                "note",
+                ColumnData::Str(vec![
+                    Some("a".into()),
+                    Some("b".into()),
+                    None,
+                    Some("d".into()),
+                    None,
+                ]),
+            ),
+        ])
+        .unwrap();
+        // The old kernel: gather every column, then swap in the new one.
+        let indices = [0, 0, 3, 3, 3];
+        let items = ["bug", "ui", "perf", "bug", "perf"];
+        let old = df
+            .take(&indices)
+            .with_column(Column::from_strs("topics", &items))
+            .unwrap();
+        let new = df.explode("topics").unwrap();
+        assert_eq!(format!("{new:?}"), format!("{old:?}"));
+        assert_eq!(new.column_names(), vec!["id", "topics", "note"]);
+    }
+
+    #[test]
+    fn untouched_columns_share_storage() {
+        let df = sample();
+        let shared = |a: &DataFrame, b: &DataFrame, name: &str| {
+            a.column(name)
+                .unwrap()
+                .shares_storage(b.column(name).unwrap())
+        };
+        let cloned = df.clone();
+        for name in ["product", "sentiment", "len"] {
+            assert!(shared(&df, &cloned, name), "clone copied {name}");
+        }
+        let selected = df.select(&["len", "product"]).unwrap();
+        assert!(shared(&df, &selected, "len") && shared(&df, &selected, "product"));
+        let widened = df
+            .with_column(Column::from_i64s("extra", &[0, 0, 0, 0]))
+            .unwrap();
+        let replaced = df
+            .with_column(Column::from_i64s("len", &[0, 0, 0, 0]))
+            .unwrap();
+        for name in ["product", "sentiment"] {
+            assert!(shared(&df, &widened, name) && shared(&df, &replaced, name));
+        }
+        assert!(!shared(&df, &replaced, "len"));
+        let renamed = df.rename("len", "length").unwrap();
+        assert!(shared(&df, &renamed, "product"));
+        assert!(df
+            .column("len")
+            .unwrap()
+            .shares_storage(renamed.column("length").unwrap()));
+        // Gathering rows builds new storage.
+        assert!(!shared(&df, &df.head(2), "product"));
     }
 
     #[test]

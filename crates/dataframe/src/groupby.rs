@@ -75,28 +75,61 @@ impl Aggregation {
         }
     }
 
-    fn apply(&self, col: &Column) -> Value {
+    /// Aggregate the `rows` of `input` that form one group. `Count` only
+    /// needs the group size, so it never gathers the rows.
+    fn apply(&self, input: &Column, rows: &[usize]) -> Value {
+        let col = || input.take(rows);
         match self.kind {
-            AggKind::Count => Value::Int(col.len() as i64),
-            AggKind::Sum => Value::Float(col.sum()),
-            AggKind::Mean => col.mean().map_or(Value::Null, Value::Float),
-            AggKind::Min => col.min(),
-            AggKind::Max => col.max(),
-            AggKind::Std => col.std().map_or(Value::Null, Value::Float),
-            AggKind::Median => col.median().map_or(Value::Null, Value::Float),
-            AggKind::NUnique => Value::Int(col.n_unique() as i64),
+            AggKind::Count => Value::Int(rows.len() as i64),
+            AggKind::Sum => Value::Float(col().sum()),
+            AggKind::Mean => col().mean().map_or(Value::Null, Value::Float),
+            AggKind::Min => col().min(),
+            AggKind::Max => col().max(),
+            AggKind::Std => col().std().map_or(Value::Null, Value::Float),
+            AggKind::Median => col().median().map_or(Value::Null, Value::Float),
+            AggKind::NUnique => Value::Int(col().n_unique() as i64),
         }
     }
 }
 
-/// A group key rendered to a comparable, hashable form.
-fn key_of(cols: &[&Column], row: usize) -> String {
-    let mut key = String::new();
-    for c in cols {
-        // Debug form distinguishes Int(1) from Str("1").
-        key.push_str(&format!("{:?}\u{1}", c.get(row)));
+/// A cell's grouping identity, borrowed from column storage.
+///
+/// Two cells of one column group together exactly when their keys are
+/// equal: null is its own group, every NaN is one group whatever its
+/// payload or sign, `-0.0` and `0.0` are two groups, and every other value
+/// groups by exact equality. (`crosstab`'s dedup of row and column values
+/// and join keys use other equivalences on purpose.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum GroupKey<'a> {
+    Null,
+    Int(i64),
+    /// `f64` bits, with every NaN mapped to one canonical NaN.
+    Float(u64),
+    Str(&'a str),
+    Bool(bool),
+    DateTime(i64),
+    List(&'a [String]),
+}
+
+impl ColumnData {
+    /// The group key of cell `i` (null when out of bounds).
+    pub(crate) fn group_key(&self, i: usize) -> GroupKey<'_> {
+        let key = match self {
+            ColumnData::Int(v) => v.get(i).copied().flatten().map(GroupKey::Int),
+            ColumnData::Float(v) => v.get(i).copied().flatten().map(|f| {
+                GroupKey::Float(if f.is_nan() {
+                    f64::NAN.to_bits()
+                } else {
+                    f.to_bits()
+                })
+            }),
+            ColumnData::Str(v) => v.get(i).and_then(Option::as_deref).map(GroupKey::Str),
+            ColumnData::Bool(v) => v.get(i).copied().flatten().map(GroupKey::Bool),
+            ColumnData::DateTime(v) => v.get(i).copied().flatten().map(GroupKey::DateTime),
+            ColumnData::StrList(v) => v.get(i).and_then(Option::as_deref).map(GroupKey::List),
+        };
+        key.unwrap_or(GroupKey::Null)
     }
-    key
 }
 
 impl DataFrame {
@@ -119,18 +152,26 @@ impl DataFrame {
             }
         }
 
-        let mut group_rows: Vec<Vec<usize>> = Vec::new();
-        let mut group_of: HashMap<String, usize> = HashMap::new();
-        let mut first_row: Vec<usize> = Vec::new();
-        for row in 0..self.n_rows() {
-            let key = key_of(&key_cols, row);
-            let g = *group_of.entry(key).or_insert_with(|| {
-                group_rows.push(Vec::new());
-                first_row.push(row);
-                group_rows.len() - 1
-            });
+        // Fold the key columns in one at a time: a row's group is the pair
+        // (group of its key prefix, key of the next column), numbered in
+        // order of first appearance. After the last column that is the
+        // first-appearance numbering of the whole key tuple.
+        let mut group_of_row = vec![0usize; self.n_rows()];
+        let mut n_groups = 0;
+        for c in &key_cols {
+            let data = c.data();
+            let mut ids: HashMap<(usize, GroupKey<'_>), usize> = HashMap::new();
+            for (row, g) in group_of_row.iter_mut().enumerate() {
+                let next = ids.len();
+                *g = *ids.entry((*g, data.group_key(row))).or_insert(next);
+            }
+            n_groups = ids.len();
+        }
+        let mut group_rows: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
+        for (row, &g) in group_of_row.iter().enumerate() {
             group_rows[g].push(row);
         }
+        let first_row: Vec<usize> = group_rows.iter().map(|rows| rows[0]).collect();
 
         // Key output columns: take the first row of each group.
         let mut out_cols: Vec<Column> = key_cols
@@ -139,8 +180,8 @@ impl DataFrame {
             .collect();
 
         for agg in aggs {
-            // Resolve the input column once per aggregation (not per group):
-            // Count counts rows, so any column works — use the first key.
+            // Resolve the input column once per aggregation (not per group).
+            // Count never reads its input; the first key stands in.
             let input = if agg.kind == AggKind::Count {
                 key_cols[0]
             } else {
@@ -153,7 +194,7 @@ impl DataFrame {
                 _ => crate::column::DType::Float,
             });
             for rows in &group_rows {
-                data.push(agg.apply(&input.take(rows)))?;
+                data.push(agg.apply(input, rows))?;
             }
             out_cols.push(Column::new(&agg.output_name(), data));
         }
@@ -175,13 +216,12 @@ impl DataFrame {
         }
         let counted = self.group_by(&[column], &[Aggregation::new(column, AggKind::Count)])?;
         let mut indices: Vec<usize> = (0..counted.n_rows()).collect();
-        let count_col = counted.column("count")?.clone();
-        let val_col = counted.column(column)?.clone();
+        let counts: Vec<Value> = counted.column("count")?.iter().collect();
+        let vals: Vec<Value> = counted.column(column)?.iter().collect();
         indices.sort_by(|&a, &b| {
-            count_col
-                .get(b)
-                .total_cmp(&count_col.get(a))
-                .then(val_col.get(a).total_cmp(&val_col.get(b)))
+            counts[b]
+                .total_cmp(&counts[a])
+                .then(vals[a].total_cmp(&vals[b]))
         });
         Ok(counted.take(&indices))
     }
@@ -278,6 +318,7 @@ impl DataFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> DataFrame {
         DataFrame::new(vec![
@@ -417,5 +458,211 @@ mod tests {
             .group_by(&["k"], &[Aggregation::new("v", AggKind::Count)])
             .unwrap();
         assert_eq!(g.n_rows(), 1);
+    }
+
+    /// The string-key grouping `group_by` used before typed keys: each
+    /// cell's `Debug` text, joined. Kept as the reference the typed key is
+    /// checked against.
+    fn reference_key_of(cols: &[&Column], row: usize) -> String {
+        let mut key = String::new();
+        for c in cols {
+            key.push_str(&format!("{:?}\u{1}", c.get(row)));
+        }
+        key
+    }
+
+    /// `group_by` as it was with string keys: gathers every group's rows,
+    /// `Count` included.
+    fn reference_group_by(
+        df: &DataFrame,
+        keys: &[&str],
+        aggs: &[Aggregation],
+    ) -> Result<DataFrame> {
+        let key_cols: Vec<&Column> = keys.iter().map(|k| df.column(k)).collect::<Result<_>>()?;
+        let mut group_rows: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<String, usize> = HashMap::new();
+        let mut first_row: Vec<usize> = Vec::new();
+        for row in 0..df.n_rows() {
+            let g = *group_of
+                .entry(reference_key_of(&key_cols, row))
+                .or_insert_with(|| {
+                    group_rows.push(Vec::new());
+                    first_row.push(row);
+                    group_rows.len() - 1
+                });
+            group_rows[g].push(row);
+        }
+        let mut out_cols: Vec<Column> = key_cols.iter().map(|c| c.take(&first_row)).collect();
+        for agg in aggs {
+            let input = df.column(&agg.column)?;
+            let mut data = ColumnData::empty(match agg.kind {
+                AggKind::Count | AggKind::NUnique => crate::column::DType::Int,
+                AggKind::Min | AggKind::Max => input.dtype(),
+                _ => crate::column::DType::Float,
+            });
+            for rows in &group_rows {
+                let group = input.take(rows);
+                data.push(match agg.kind {
+                    AggKind::Count => Value::Int(group.len() as i64),
+                    _ => agg.apply(&group, &(0..group.len()).collect::<Vec<_>>()),
+                })?;
+            }
+            out_cols.push(Column::new(&agg.output_name(), data));
+        }
+        DataFrame::new(out_cols)
+    }
+
+    fn reference_n_unique(c: &Column) -> usize {
+        let mut vals: Vec<String> = c
+            .iter()
+            .filter(|v| !v.is_null())
+            .map(|v| format!("{v:?}"))
+            .collect();
+        vals.sort();
+        vals.dedup();
+        vals.len()
+    }
+
+    /// Cells with float bits spelled out, so NaN payloads and signed zeros
+    /// are compared exactly.
+    fn render(result: Result<DataFrame>) -> String {
+        match result {
+            Ok(df) => df
+                .columns()
+                .iter()
+                .map(|c| {
+                    let cells: Vec<String> = c
+                        .iter()
+                        .map(|v| match v {
+                            Value::Float(f) => format!("F{:x}", f.to_bits()),
+                            other => format!("{other:?}"),
+                        })
+                        .collect();
+                    format!("{} {:?} {}\n", c.name(), c.dtype(), cells.join(","))
+                })
+                .collect(),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    const NAMES: [&str; 6] = ["i", "f", "s", "b", "t", "l"];
+
+    /// A frame of every key kind whose cells come from small pools that
+    /// hold the edge cases: nulls, NaNs with different payloads and signs,
+    /// signed zeros, the old key separator, empty strings and lists. Each
+    /// seed picks one row; each column reads its own byte of the seed.
+    fn frame_from(seeds: &[u64]) -> DataFrame {
+        use crate::column::DType;
+        let nan = |bits: u64| Value::Float(f64::from_bits(bits));
+        let list = |items: &[&str]| Value::StrList(items.iter().map(|s| s.to_string()).collect());
+        let pools = [
+            (
+                "i",
+                DType::Int,
+                vec![Value::Int(0), Value::Int(1), Value::Int(-7)],
+            ),
+            (
+                "f",
+                DType::Float,
+                vec![
+                    Value::Float(0.0),
+                    Value::Float(-0.0),
+                    Value::Float(1.5),
+                    nan(0x7ff8_0000_0000_0000),
+                    nan(0x7ff8_0000_0000_0001),
+                    nan(0xfff8_0000_0000_0000),
+                ],
+            ),
+            (
+                "s",
+                DType::Str,
+                vec![
+                    Value::str(""),
+                    Value::str("a"),
+                    Value::str("b"),
+                    Value::str("\u{1}"),
+                ],
+            ),
+            (
+                "b",
+                DType::Bool,
+                vec![Value::Bool(true), Value::Bool(false)],
+            ),
+            (
+                "t",
+                DType::DateTime,
+                vec![
+                    Value::DateTime(0),
+                    Value::DateTime(86_400),
+                    Value::DateTime(-1),
+                ],
+            ),
+            (
+                "l",
+                DType::StrList,
+                vec![
+                    list(&[]),
+                    list(&["a"]),
+                    list(&["a", "b"]),
+                    list(&["b", "a"]),
+                    list(&[""]),
+                ],
+            ),
+            (
+                "v",
+                DType::Float,
+                vec![Value::Float(0.0), Value::Float(2.5), Value::Float(-3.0)],
+            ),
+        ];
+        let columns = pools
+            .into_iter()
+            .enumerate()
+            .map(|(j, (name, dtype, mut pool))| {
+                pool.push(Value::Null);
+                let mut data = ColumnData::empty(dtype);
+                for &seed in seeds {
+                    data.push(pool[(seed >> (8 * j)) as usize % pool.len()].clone())
+                        .unwrap();
+                }
+                Column::new(name, data)
+            })
+            .collect();
+        DataFrame::new(columns).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn typed_keys_match_string_key_reference(
+            seeds in proptest::collection::vec(0u64..u64::MAX, 0..40),
+            first in 0usize..6,
+            second in 0usize..7,
+        ) {
+            let df = frame_from(&seeds);
+            let mut keys = vec![NAMES[first]];
+            if second < NAMES.len() && second != first {
+                keys.push(NAMES[second]);
+            }
+            let kinds = [
+                AggKind::Count,
+                AggKind::Sum,
+                AggKind::Mean,
+                AggKind::Min,
+                AggKind::Max,
+                AggKind::Std,
+                AggKind::Median,
+                AggKind::NUnique,
+            ];
+            let aggs: Vec<Aggregation> = kinds.iter().map(|&k| Aggregation::new("v", k)).collect();
+            prop_assert_eq!(
+                render(df.group_by(&keys, &aggs)),
+                render(reference_group_by(&df, &keys, &aggs)),
+                "keys {:?}", keys
+            );
+            for name in NAMES {
+                let c = df.column(name).unwrap();
+                prop_assert_eq!(c.n_unique(), reference_n_unique(c), "n_unique of {}", name);
+            }
+        }
     }
 }

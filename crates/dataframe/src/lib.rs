@@ -11,7 +11,8 @@
 //! - Columns are typed vectors with per-cell nullability ([`ColumnData`]),
 //!   not `Vec<Value>`: kernels iterate natively-typed slices.
 //! - All operations are immutable — they return new frames — matching how
-//!   generated analysis code composes steps.
+//!   generated analysis code composes steps. Column storage is shared, so
+//!   a new frame copies only the columns an operation changes.
 //! - Errors are values ([`FrameError`]), never panics, because generated
 //!   code must be able to fail gracefully and trigger the agent's
 //!   self-reflection loop.

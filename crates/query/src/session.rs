@@ -65,8 +65,6 @@ impl CellResult {
 pub struct Session {
     interp: Interpreter,
     limits: SessionLimits,
-    /// History of executed cell sources (successful and failed).
-    history: Vec<String>,
 }
 
 impl Session {
@@ -75,7 +73,6 @@ impl Session {
         Session {
             interp: Interpreter::new(limits.step_budget, limits.max_rows),
             limits,
-            history: Vec::new(),
         }
     }
 
@@ -126,7 +123,6 @@ impl Session {
     /// Execute one cell. Never panics: all failures land in
     /// [`CellResult::error`].
     pub fn execute(&mut self, source: &str) -> CellResult {
-        self.history.push(source.to_string());
         let program = match parse_program(source) {
             Ok(p) => p,
             Err(e) => {
@@ -139,12 +135,6 @@ impl Session {
         let error = self.interp.run(&program).err().map(|e| e.to_string());
         let effects = self.interp.take_effects();
         CellResult { shown: effects.shown, logs: effects.logs, error }
-    }
-
-    /// The sources executed so far (the chat-history substrate the planner
-    /// keeps for follow-ups).
-    pub fn history(&self) -> &[String] {
-        &self.history
     }
 }
 
@@ -167,13 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn cell_outputs_and_history() {
+    fn cell_outputs_and_logs() {
         let mut s = session();
         let r = s.execute(r#"show(feedback.count()); log("done")"#);
         assert!(r.ok());
         assert_eq!(r.shown.len(), 1);
         assert_eq!(r.logs, vec!["done"]);
-        assert_eq!(s.history().len(), 1);
     }
 
     #[test]

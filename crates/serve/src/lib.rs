@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub mod protocol {
     //! Wire framing: each message is a `u32` little-endian byte length
@@ -78,6 +78,14 @@ pub mod protocol {
 
     /// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
     pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Value>> {
+        match read_len(r)? {
+            Some(n) => read_body(r, n).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Read a frame's length prefix; `Ok(None)` on clean EOF.
+    pub fn read_len(r: &mut impl Read) -> io::Result<Option<usize>> {
         let mut len = [0u8; 4];
         match r.read_exact(&mut len) {
             Ok(()) => {}
@@ -91,6 +99,11 @@ pub mod protocol {
                 format!("frame length {n} exceeds MAX_FRAME"),
             ));
         }
+        Ok(Some(n))
+    }
+
+    /// Read the `n`-byte body that follows a length prefix.
+    pub fn read_body(r: &mut impl Read, n: usize) -> io::Result<Value> {
         // Grow the buffer as the body arrives: a length prefix alone must
         // not buy a MAX_FRAME allocation.
         let mut buf = Vec::with_capacity(n.min(64 << 10));
@@ -104,7 +117,6 @@ pub mod protocol {
         let text = String::from_utf8(buf)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
         text.parse::<Value>()
-            .map(Some)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("frame is not JSON: {e}")))
     }
 }
@@ -554,19 +566,76 @@ fn accept_loop(
         let shared = Arc::clone(shared);
         let tx = writer_tx.clone();
         std::thread::spawn(move || {
-            let _ = handle_conn(stream, &shared, &tx);
+            let _ = handle_conn(stream, &shared, &tx, FRAME_BODY_DEADLINE);
         });
     }
+}
+
+/// How long a client has to send a frame body once its length prefix has
+/// arrived. Waiting for the next prefix is untimed (an idle connection is
+/// fine); a body that stalls past this drops the connection.
+const FRAME_BODY_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Reads from a socket until a fixed instant, then fails with `TimedOut`,
+/// however the bytes trickle in.
+struct DeadlineReader<'a> {
+    stream: &'a UnixStream,
+    deadline: Instant,
+}
+
+impl io::Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "frame body deadline passed",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        match io::Read::read(&mut self.stream, buf) {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "frame body deadline passed",
+            )),
+            other => other,
+        }
+    }
+}
+
+/// Read the next request: the length prefix without a timeout, the body
+/// within `body_deadline` of the prefix.
+fn read_request(stream: &mut UnixStream, body_deadline: Duration) -> io::Result<Option<Value>> {
+    stream.set_read_timeout(None)?;
+    let Some(n) = protocol::read_len(stream)? else {
+        return Ok(None);
+    };
+    let mut body = DeadlineReader {
+        stream,
+        deadline: Instant::now() + body_deadline,
+    };
+    protocol::read_body(&mut body, n).map(Some)
 }
 
 fn handle_conn(
     stream: UnixStream,
     shared: &Arc<Shared>,
     writer_tx: &mpsc::SyncSender<WriteCmd>,
+    body_deadline: Duration,
 ) -> io::Result<()> {
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
-    while let Some(req) = protocol::read_frame(&mut reader)? {
+    loop {
+        let req = match read_request(&mut reader, body_deadline) {
+            Ok(Some(req)) => req,
+            Ok(None) => break,
+            Err(e) => {
+                if e.kind() == io::ErrorKind::TimedOut {
+                    shared.recorder.vincr("serve.stalled_frames");
+                }
+                return Err(e);
+            }
+        };
         let op = str_field(&req, "op").unwrap_or_default().to_string();
         let resp = dispatch(&op, &req, shared, writer_tx);
         protocol::write_frame(&mut writer, &resp)?;
@@ -1099,6 +1168,46 @@ mod tests {
         let report = shared.recorder.report();
         assert_eq!(report.volatile_counters.get("serve.accept_errors"), Some(&1));
         assert_eq!(report.volatile_counters.get("serve.connections"), Some(&1));
+    }
+
+    #[test]
+    fn stalled_frame_bodies_drop_the_connection() {
+        let shared = sessionless_shared();
+        let (writer_tx, _writer_rx) = mpsc::sync_channel(1);
+        let serve = |stream: UnixStream| {
+            let (shared, tx) = (Arc::clone(&shared), writer_tx.clone());
+            std::thread::spawn(move || {
+                handle_conn(stream, &shared, &tx, Duration::from_millis(200))
+            })
+        };
+
+        // An idle connection, then one that sends a prefix for a 20-byte
+        // body, half the body, and nothing more.
+        let (server_end, mut client) = UnixStream::pair().unwrap();
+        let live = serve(server_end);
+        let (server_end, mut staller) = UnixStream::pair().unwrap();
+        let stalled = serve(server_end);
+        io::Write::write_all(&mut staller, &20u32.to_le_bytes()).unwrap();
+        io::Write::write_all(&mut staller, b"{\"op\":\"pin").unwrap();
+
+        let err = stalled.join().unwrap().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        // The server hung up on the staller.
+        assert!(protocol::read_frame(&mut staller).unwrap().is_none());
+        let report = shared.recorder.report();
+        assert_eq!(
+            report.volatile_counters.get("serve.stalled_frames"),
+            Some(&1)
+        );
+
+        // The other connection sat idle for longer than the deadline
+        // between frames, and is still served.
+        protocol::write_frame(&mut client, &json!({"op": "ping"})).unwrap();
+        let resp = protocol::read_frame(&mut client).unwrap().unwrap();
+        assert_eq!(resp["pong"], json!(true));
+
+        drop(client);
+        live.join().unwrap().unwrap();
     }
 
     #[test]

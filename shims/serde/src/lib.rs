@@ -252,6 +252,19 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
+/// Shared ownership is invisible on the wire: an `Arc<T>` serializes
+/// exactly as `T`, and deserializes into a fresh allocation.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_content(&self) -> Content {
+        (**self).to_content()
+    }
+}
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        T::from_content(c).map(std::sync::Arc::new)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,5 +289,13 @@ mod tests {
         let (name, inner) = v.variant().unwrap();
         assert_eq!(name, "Int");
         assert_eq!(inner.unwrap(), &Content::I64(3));
+    }
+
+    #[test]
+    fn arc_is_transparent() {
+        let shared = std::sync::Arc::new(vec![Some(1i64), None]);
+        assert_eq!(shared.to_content(), vec![Some(1i64), None].to_content());
+        let back = std::sync::Arc::<Vec<Option<i64>>>::from_content(&shared.to_content()).unwrap();
+        assert_eq!(back, shared);
     }
 }
